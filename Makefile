@@ -88,7 +88,8 @@ bench-obs:
 bench-smoke-all: bench-smoke bench-compress bench-serve bench-trace bench-placement bench-shard bench-generate bench-store bench-obs
 
 # Short fuzz runs over every fuzz target: the hazard ensemble codecs
-# (JSON and CSV readers) and the compressed-matrix wire codec. 30s per
+# (JSON and CSV readers), the compressed-matrix wire codec, the upload
+# decoders, the job-envelope import and the traceparent parser. 30s per
 # target keeps the job a couple of minutes while still churning
 # through millions of hostile inputs; `go test -fuzz` accepts one
 # target per invocation, hence one line each.
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCompressedMatrix' -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzTopologyUpload' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzEnsembleParams' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzJobsImport' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceParent' -fuzztime 30s ./internal/obs/
 
 # Full benchmark sweep with allocation counts (slow: regenerates the

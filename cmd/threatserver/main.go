@@ -42,9 +42,11 @@
 // writes the -metrics report — in that order, so every shutdown
 // artifact covers the full run. With -handoff set, the drained server
 // first streams its hottest compiled views (wire-encoded, capped by
-// -handoff-views) and every finished placement job to the successor at
-// that URL, so a rolling restart keeps the replacement's cache warm
-// and its inherited jobs pollable.
+// -handoff-views) and every finished placement and generation job to
+// the successor at that URL, so a rolling restart keeps the
+// replacement's cache warm and its inherited jobs pollable (a
+// generation job only when the successor loaded its ensemble, e.g.
+// from the same -store).
 package main
 
 import (
@@ -93,10 +95,10 @@ func run(args []string) (err error) {
 	traceBuffer := fs.Int("trace-buffer", 256, "completed traces retained per ring for /v1/traces (0 = tracing off)")
 	slowTrace := fs.Duration("slow-trace", 250*time.Millisecond, "retain traces at or over this duration in the slow ring (0 = slow ring off)")
 	accessLog := fs.String("access-log", "", `write one JSON access-log line per request to this file ("-" = stderr)`)
-	handoff := fs.String("handoff", "", "successor base URL to stream hot views and finished jobs to after draining")
+	handoff := fs.String("handoff", "", "successor base URL to stream hot views and finished placement and generation jobs to after draining")
 	handoffViews := fs.Int("handoff-views", 0, "cap on views streamed at handoff, hottest first (0 = all)")
 	jobTimeout := fs.Duration("job-timeout", 5*time.Minute, "per-job deadline for async placement searches and ensemble generation")
-	jobRetention := fs.Int("job-retention", 0, "finished placement jobs kept pollable (0 = 64)")
+	jobRetention := fs.Int("job-retention", 0, "finished jobs of each kind (placement, generation) kept pollable (0 = 64)")
 	storeDir := fs.String("store", "", "persist uploaded scenarios content-addressed under this directory (empty = memory-only uploads)")
 	maxUpload := fs.Int64("max-upload", 0, "maximum topology/ensemble upload body bytes (0 = 4 MiB)")
 	maxUploadRealizations := fs.Int("max-upload-realizations", 0, "maximum realizations per generation request (0 = 5000)")
@@ -247,7 +249,7 @@ func run(args []string) (err error) {
 				rep.Views, rep.SkippedViews, rep.Jobs, *handoff)
 		}
 	}
-	// Cancel any still-running placement jobs before the artifact
+	// Cancel any still-running jobs before the artifact
 	// flushes so their terminal counters land in the -metrics report.
 	s.Close()
 

@@ -1,8 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"compoundthreat/internal/analysis"
+	"compoundthreat/internal/placement"
+	"compoundthreat/internal/stats"
+	"compoundthreat/internal/threat"
+	"compoundthreat/internal/topology"
 )
 
 // FuzzTopologyUpload checks the topology decode/validate path against
@@ -70,4 +81,77 @@ func FuzzEnsembleParams(f *testing.F) {
 			t.Fatalf("canonical re-decode changed scenario id: %s != %s", p2.scenarioID, p.scenarioID)
 		}
 	})
+}
+
+// FuzzJobsImport checks POST /v1/jobs/import against arbitrary bodies:
+// no panics, every response is 200 or a typed error envelope, every
+// imported job polls 200, and export → import → export of an accepted
+// body is a fixed point.
+func FuzzJobsImport(f *testing.F) {
+	sites := []string{"a", "c"}
+	placed, _ := envelopeOf(doneJob("00000000000000aa", "k1",
+		placementSpec{ensName: "stub", scenario: threat.HurricaneIsolation, objName: "green", k: 2},
+		time.Unix(0, 7), placement.KProgress{Phase: "exact", Evaluated: 3, BestSites: sites},
+		&placement.KResult{Sites: sites, Score: 0.75, Outcome: analysis.Outcome{Config: topology.NewConfigKSite(sites), Profile: stats.NewProfile()}}))
+	generated, _ := envelopeOf(doneJob("00000000000000bb", "0123456789abcdef",
+		generationSpec{ensName: "u-0123456789abcdef", topologyID: "t", total: 8}, time.Unix(0, 9), 8, 3))
+	for _, envs := range [][]jobEnvelope{{placed}, {generated}, {placed, generated}, {}} {
+		body, _ := json.Marshal(map[string]any{"version": JobEnvelopeVersion, "jobs": envs})
+		f.Add(string(body))
+	}
+	f.Add(`{"version": 1, "jobs": []}`)
+	f.Add(`{"version": 2, "jobs": [{"version": 2, "kind": "campaign", "id": "x", "key": "y"}]}`)
+	f.Add(`{"version": 2, "jobs": [{"version": 2, "kind": "placement", "id": "x", "key": "y"}]}`)
+	f.Add(`{not json`)
+	f.Add(``)
+	f.Fuzz(func(t *testing.T, input string) {
+		a, _, _ := newStubServer(t, Options{})
+		code, out := postImport(t, a, input)
+		if code != http.StatusOK {
+			if e, _ := out["error"].(map[string]any); e == nil || e["code"] == "" || e["message"] == "" {
+				t.Fatalf("status %d without a typed error envelope: %v", code, out)
+			}
+			return
+		}
+		exported := exportJobsBody(t, a)
+		var env struct {
+			Jobs []jobEnvelope `json:"jobs"`
+		}
+		if err := json.Unmarshal(exported, &env); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range env.Jobs {
+			path := "/v1/placement/jobs/" + j.ID
+			if j.Kind == generationKind {
+				path = "/v1/ensembles/jobs/" + j.ID
+			}
+			if code, body := get(t, a.Handler(), path); code != http.StatusOK {
+				t.Fatalf("imported job %s polls %d: %v", j.ID, code, body)
+			}
+		}
+		b, _, _ := newStubServer(t, Options{})
+		if code, out := postImport(t, b, string(exported)); code != http.StatusOK || out["imported"] != float64(len(env.Jobs)) {
+			t.Fatalf("re-import of an export = %d %v, want all %d imported", code, out, len(env.Jobs))
+		}
+		if again := exportJobsBody(t, b); !bytes.Equal(again, exported) {
+			t.Fatalf("export is not a fixed point:\n%s\n%s", exported, again)
+		}
+	})
+}
+
+func postImport(t *testing.T, s *Server, body string) (int, map[string]any) {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs/import", strings.NewReader(body)))
+	return decodeBody(t, w, "POST /v1/jobs/import")
+}
+
+func exportJobsBody(t *testing.T, s *Server) []byte {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/export", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("export: %d %s", w.Code, w.Body.String())
+	}
+	return w.Body.Bytes()
 }

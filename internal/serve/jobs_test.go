@@ -285,3 +285,60 @@ func TestJobValidation(t *testing.T) {
 		t.Errorf("unknown job poll: status %d, want 404", code)
 	}
 }
+
+// TestJobRetryStaysPollable: a resubmission after a failure reuses the
+// failed job's id (ids hash the content key), so evicting the failed
+// predecessor must not unregister the retry. Retention 1 makes the
+// retry's own finish evict the predecessor. Covers both job kinds.
+func TestJobRetryStaysPollable(t *testing.T) {
+	t.Run("placement", func(t *testing.T) {
+		s, stub, _ := newStubServer(t, Options{JobRetention: 1, JobTimeout: 100 * time.Millisecond})
+		stub.close()
+		t.Cleanup(stub.open)
+		_, first := postJob(t, s.Handler(), `{"k":2}`)
+		id, _ := first["job_id"].(string)
+		if done := pollJob(t, s.Handler(), id); done["status"] != jobFailed {
+			t.Fatalf("first attempt = %v, want failed", done["status"])
+		}
+		stub.open()
+		_, retry := postJob(t, s.Handler(), `{"k":2}`)
+		if retry["job_id"] != id || retry["coalesced"] != false {
+			t.Fatalf("retry = %v, want a fresh job under id %s", retry, id)
+		}
+		pollJob(t, s.Handler(), id) // fails the test on a 404
+
+		// A later finish evicts the retry as the oldest retained job.
+		_, other := postJob(t, s.Handler(), `{"k":3}`)
+		pollJob(t, s.Handler(), other["job_id"].(string))
+		if code, _ := get(t, s.Handler(), "/v1/placement/jobs/"+id); code != http.StatusNotFound {
+			t.Errorf("evicted retry poll: status %d, want 404", code)
+		}
+	})
+	t.Run("generation", func(t *testing.T) {
+		// A byte quota that fits the topology but not the ensemble blob
+		// fails every generation at commit, deterministically.
+		doc := testTopologyJSON("retry")
+		_, canonical, _, err := decodeTopologyDoc([]byte(doc), Options{}.defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, _ := newTestServer(t, Options{JobRetention: 1, QuotaBytes: int64(len(canonical)) + 64})
+		code, body := uploadPost(t, s.Handler(), "/v1/topologies", doc, nil)
+		if code != http.StatusCreated {
+			t.Fatalf("upload = %d, body %v", code, body)
+		}
+		params := testEnsembleJSON(body["topology_id"].(string), 8, 3)
+		_, first := uploadPost(t, s.Handler(), "/v1/ensembles", params, nil)
+		id, _ := first["job_id"].(string)
+		if final := awaitGenJob(t, s.Handler(), id); final["status"] != jobFailed {
+			t.Fatalf("first attempt = %v, want failed", final["status"])
+		}
+		_, retry := uploadPost(t, s.Handler(), "/v1/ensembles", params, nil)
+		if retry["job_id"] != id || retry["coalesced"] != false {
+			t.Fatalf("retry = %v, want a fresh job under id %s", retry, id)
+		}
+		if final := awaitGenJob(t, s.Handler(), id); final["status"] != jobFailed {
+			t.Errorf("retry = %v, want failed (quota)", final["status"])
+		}
+	})
+}

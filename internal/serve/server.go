@@ -54,11 +54,13 @@ type Options struct {
 	// request (see accessEntry). The server serializes writes; the
 	// caller owns buffering and flushing. nil = access logging off.
 	AccessLog io.Writer
-	// JobTimeout is the per-job deadline for async placement searches
-	// (queueing for an evaluation slot plus the search itself). 0 = 5m.
+	// JobTimeout is the per-job deadline for async jobs of every kind,
+	// placement searches and ensemble generations (queueing for an
+	// evaluation slot plus the work itself). 0 = 5m.
 	JobTimeout time.Duration
-	// JobRetention bounds how many finished placement jobs stay
-	// pollable; the oldest are evicted first. 0 = 64.
+	// JobRetention bounds how many finished jobs of each kind stay
+	// pollable (placement and generation jobs are retained separately);
+	// the oldest are evicted first. 0 = 64.
 	JobRetention int
 	// MaxImportBytes bounds warm-handoff import bodies (wire-encoded
 	// views, finished-job envelopes), which are legitimately larger
@@ -159,9 +161,9 @@ type Server struct {
 	names     []string // sorted ensemble names
 
 	cache   *viewCache
-	jobs    *jobRegistry
+	jobs    *placementJobs
 	uploads *uploadState
-	genjobs *genRegistry
+	genjobs *ensembleJobs
 	slots   chan struct{}
 	start   time.Time
 	mux     *http.ServeMux
@@ -201,9 +203,9 @@ func New(ensembles map[string]Ensemble, inv *assets.Inventory, opt Options) (*Se
 		inv:       inv,
 		ensembles: make(map[string]*ensembleEntry, len(ensembles)),
 		cache:     newViewCache(opt.CacheEntries),
-		jobs:      newJobRegistry(opt.JobRetention),
+		jobs:      newPlacementJobs(opt.JobRetention),
 		uploads:   newUploadState(opt),
-		genjobs:   newGenRegistry(opt.JobRetention),
+		genjobs:   newEnsembleJobs(opt.JobRetention),
 		slots:     make(chan struct{}, opt.MaxInflight),
 		start:     time.Now(),
 		inflight:  rec.Gauge("serve.inflight"),

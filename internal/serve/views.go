@@ -5,8 +5,8 @@ package serve
 // drains, its cache would die with it and every key it owned would
 // recompile cold on whichever worker inherits the traffic. These
 // endpoints make the cache portable: views travel in the versioned
-// engine wire codec (X-Codec-Version header), finished placement jobs
-// travel in a versioned JSON envelope, and Handoff streams both to a
+// engine wire codec (X-Codec-Version header), finished jobs travel in
+// a versioned JSON envelope (jobs.go), and Handoff streams both to a
 // successor hottest-first on shutdown.
 //
 // Imports are validated, not trusted blindly: the cache key names the
@@ -27,25 +27,14 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
-	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/engine"
 	"compoundthreat/internal/obs"
-	"compoundthreat/internal/opstate"
-	"compoundthreat/internal/placement"
-	"compoundthreat/internal/stats"
-	"compoundthreat/internal/threat"
-	"compoundthreat/internal/topology"
 )
 
 // CodecVersionHeader carries the engine wire-codec version on view
 // export responses and import requests.
 const CodecVersionHeader = "X-Codec-Version"
-
-// JobEnvelopeVersion is the version of the finished-job JSON envelope
-// served by /v1/jobs/export and accepted by /v1/jobs/import.
-const JobEnvelopeVersion = 1
 
 // ---- GET /v1/readyz ----
 
@@ -209,219 +198,6 @@ func (s *Server) resolveViewKey(key string) (*ensembleEntry, []string, error) {
 	return ens, universe, nil
 }
 
-// ---- finished-job envelopes ----
-
-// jobResultDTO is the wire form of a placement.KResult.
-type jobResultDTO struct {
-	Sites            []string       `json:"sites"`
-	Score            float64        `json:"score"`
-	Evaluated        int64          `json:"evaluated"`
-	Pruned           int64          `json:"pruned"`
-	Exact            bool           `json:"exact"`
-	Candidates       int            `json:"candidates"`
-	DistinctPatterns int            `json:"distinct_patterns"`
-	ConfigName       string         `json:"config_name"`
-	Counts           map[string]int `json:"counts"`
-}
-
-// jobProgressDTO is the wire form of the final placement.KProgress
-// snapshot, carried so the successor's poll response reports the same
-// terminal progress the original worker would.
-type jobProgressDTO struct {
-	Phase     string   `json:"phase"`
-	Evaluated int64    `json:"evaluated"`
-	Pruned    int64    `json:"pruned"`
-	BestScore float64  `json:"best_score"`
-	BestSites []string `json:"best_sites,omitempty"`
-}
-
-// jobEnvelope is the versioned wire form of one finished placement
-// job: everything the poll endpoint renders, so a successor answers
-// polls for inherited jobs exactly as the original worker would.
-type jobEnvelope struct {
-	Version         int            `json:"version"`
-	ID              string         `json:"id"`
-	Key             string         `json:"key"`
-	Ensemble        string         `json:"ensemble"`
-	Scenario        string         `json:"scenario"`
-	Objective       string         `json:"objective"`
-	K               int            `json:"k"`
-	Exact           bool           `json:"exact"`
-	CreatedUnixNano int64          `json:"created_unix_nano"`
-	Progress        jobProgressDTO `json:"progress"`
-	Result          jobResultDTO   `json:"result"`
-}
-
-// envelopeOf renders a done job; ok is false for jobs that are not
-// exportable (running, failed, canceled).
-func envelopeOf(j *job) (jobEnvelope, bool) {
-	state, progress, result, _ := j.snapshot()
-	if state != jobDone || result == nil {
-		return jobEnvelope{}, false
-	}
-	counts := make(map[string]int, 4)
-	for _, st := range opstate.States() {
-		counts[st.String()] = result.Outcome.Profile.Count(st)
-	}
-	return jobEnvelope{
-		Version:         JobEnvelopeVersion,
-		ID:              j.id,
-		Key:             j.key,
-		Ensemble:        j.ensName,
-		Scenario:        scenarioWireName(j.scenario),
-		Objective:       j.objName,
-		K:               j.k,
-		Exact:           j.exact,
-		CreatedUnixNano: j.created.UnixNano(),
-		Progress: jobProgressDTO{
-			Phase:     progress.Phase,
-			Evaluated: progress.Evaluated,
-			Pruned:    progress.Pruned,
-			BestScore: progress.BestScore,
-			BestSites: progress.BestSites,
-		},
-		Result: jobResultDTO{
-			Sites:            result.Sites,
-			Score:            result.Score,
-			Evaluated:        result.Evaluated,
-			Pruned:           result.Pruned,
-			Exact:            result.Exact,
-			Candidates:       result.Candidates,
-			DistinctPatterns: result.DistinctPatterns,
-			ConfigName:       result.Outcome.Config.Name,
-			Counts:           counts,
-		},
-	}, true
-}
-
-// scenarioWireName is the inverse of threat.ParseScenario: the request
-// token for a scenario, so an exported envelope re-parses on import.
-func scenarioWireName(s threat.Scenario) string {
-	switch s {
-	case threat.Hurricane:
-		return "hurricane"
-	case threat.HurricaneIntrusion:
-		return "intrusion"
-	case threat.HurricaneIsolation:
-		return "isolation"
-	default:
-		return "both"
-	}
-}
-
-// jobFromEnvelope reconstructs a pollable done job. The profile is
-// rebuilt count-for-count, so the successor's poll response is
-// bit-identical to the original worker's.
-func jobFromEnvelope(env jobEnvelope) (*job, error) {
-	if env.Version != JobEnvelopeVersion {
-		return nil, fmt.Errorf("unsupported job envelope version %d (have %d)", env.Version, JobEnvelopeVersion)
-	}
-	if env.ID == "" || env.Key == "" {
-		return nil, errors.New("job envelope missing id or key")
-	}
-	scenario, err := threat.ParseScenario(env.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	profile := stats.NewProfile()
-	for _, st := range opstate.States() {
-		n := env.Result.Counts[st.String()]
-		if n < 0 {
-			return nil, fmt.Errorf("job envelope has negative count for state %s", st)
-		}
-		profile.AddN(st, n)
-	}
-	if len(env.Result.Sites) == 0 {
-		return nil, errors.New("job envelope result names no sites")
-	}
-	cfg := topology.NewConfigKSite(env.Result.Sites)
-	if env.Result.ConfigName != "" {
-		cfg.Name = env.Result.ConfigName
-	}
-	j := &job{
-		id:       env.ID,
-		key:      env.Key,
-		ensName:  env.Ensemble,
-		scenario: scenario,
-		objName:  env.Objective,
-		k:        env.K,
-		exact:    env.Exact,
-		created:  time.Unix(0, env.CreatedUnixNano),
-		done:     make(chan struct{}),
-		state:    jobDone,
-		progress: placement.KProgress{
-			Phase:     env.Progress.Phase,
-			Evaluated: env.Progress.Evaluated,
-			Pruned:    env.Progress.Pruned,
-			BestScore: env.Progress.BestScore,
-			BestSites: env.Progress.BestSites,
-		},
-		result: &placement.KResult{
-			Sites:            env.Result.Sites,
-			Score:            env.Result.Score,
-			Outcome:          analysis.Outcome{Config: cfg, Scenario: scenario, Profile: profile},
-			Evaluated:        env.Result.Evaluated,
-			Pruned:           env.Result.Pruned,
-			Exact:            env.Result.Exact,
-			Candidates:       env.Result.Candidates,
-			DistinctPatterns: env.Result.DistinctPatterns,
-		},
-	}
-	close(j.done)
-	return j, nil
-}
-
-// ---- GET /v1/jobs/export ----
-
-// handleJobsExport lists every finished (done) placement job as a
-// versioned envelope, oldest first.
-func (s *Server) handleJobsExport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
-		return err
-	}
-	envs := s.jobs.exportDone()
-	return writeJSON(w, map[string]any{"version": JobEnvelopeVersion, "jobs": envs})
-}
-
-// ---- POST /v1/jobs/import ----
-
-// handleJobsImport accepts finished-job envelopes and registers them
-// for polling (and, by content key, as coalescing result-cache hits).
-// Jobs whose id or key already exists locally are skipped.
-func (s *Server) handleJobsImport(w http.ResponseWriter, r *http.Request) error {
-	if s.closed.Load() {
-		return errShuttingDown()
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxImportBytes))
-	dec.DisallowUnknownFields()
-	var body struct {
-		Version int           `json:"version"`
-		Jobs    []jobEnvelope `json:"jobs"`
-	}
-	if err := dec.Decode(&body); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return badRequestf("invalid request body: %v", err)
-	}
-	if body.Version != JobEnvelopeVersion {
-		return badRequestf("unsupported job envelope version %d (have %d)", body.Version, JobEnvelopeVersion)
-	}
-	imported := 0
-	for i, env := range body.Jobs {
-		j, err := jobFromEnvelope(env)
-		if err != nil {
-			return badRequestf("job %d: %v", i, err)
-		}
-		if s.jobs.importDone(j) {
-			imported++
-			s.jobsImported.Inc()
-		}
-	}
-	return writeJSON(w, map[string]any{"imported": imported, "received": len(body.Jobs)})
-}
-
 // ---- warm handoff ----
 
 // HandoffReport summarizes one handoff: how much state the successor
@@ -431,13 +207,16 @@ type HandoffReport struct {
 	Views int
 	// SkippedViews counts views the successor already had (or refused).
 	SkippedViews int
-	// Jobs is the number of finished placement jobs imported.
+	// Jobs is the number of finished jobs the successor imported, of
+	// every kind (placement searches and ensemble generations).
 	Jobs int
 }
 
 // Handoff streams this server's hottest compiled views (up to maxViews;
-// 0 = all) and its finished placement jobs to the successor at baseURL,
-// using the view wire codec and the job envelope. Call it after the
+// 0 = all) and its finished placement and generation jobs to the
+// successor at baseURL, using the view wire codec and the job envelope.
+// The successor skips a generation job whose ensemble it has not
+// loaded (a successor sharing this server's -store loads every one). Call it after the
 // listener has drained: the cache is no longer changing, so the
 // snapshot is the final LRU order. Per-item failures abort the handoff
 // and return what had transferred by then.
@@ -477,7 +256,7 @@ func (s *Server) Handoff(ctx context.Context, baseURL string, maxViews int) (Han
 			rep.SkippedViews++
 		}
 	}
-	envs := s.jobs.exportDone()
+	envs := s.exportJobs()
 	if len(envs) > 0 {
 		body, err := json.Marshal(map[string]any{"version": JobEnvelopeVersion, "jobs": envs})
 		if err != nil {

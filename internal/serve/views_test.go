@@ -12,6 +12,7 @@ import (
 
 	"compoundthreat/internal/engine"
 	"compoundthreat/internal/obs"
+	"compoundthreat/internal/store"
 )
 
 // warmSweep issues one sweep so the server compiles and caches a view,
@@ -345,6 +346,73 @@ func TestHandoffJobsSurviveReexport(t *testing.T) {
 	bj, _ := json.Marshal(again)
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("envelope round trip differs:\n got: %s\nwant: %s", bj, aj)
+	}
+}
+
+// TestHandoffGenerationJobs: a finished generation job survives warm
+// handoff. The successor shares the predecessor's store, so it loaded
+// the generated ensemble at startup and answers the inherited job's
+// poll exactly as the predecessor did (modulo age). A successor that
+// has not loaded the ensemble skips the job.
+func TestHandoffGenerationJobs(t *testing.T) {
+	dir := t.TempDir()
+	st1, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := newTestServer(t, Options{Store: st1})
+	code, body := uploadPost(t, src.Handler(), "/v1/topologies", testTopologyJSON("handoff"), nil)
+	if code != http.StatusCreated {
+		t.Fatalf("upload = %d, body %v", code, body)
+	}
+	code, body = uploadPost(t, src.Handler(), "/v1/ensembles", testEnsembleJSON(body["topology_id"].(string), 8, 9), nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, body %v", code, body)
+	}
+	pollURL := "/v1/ensembles/jobs/" + body["job_id"].(string)
+	want := awaitGenJob(t, src.Handler(), body["job_id"].(string))
+	if want["status"] != jobDone {
+		t.Fatalf("job finished %v, want done", want["status"])
+	}
+
+	st2, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := newTestServer(t, Options{Store: st2})
+	ts := httptest.NewServer(dst.Handler())
+	defer ts.Close()
+	rep, err := src.Handoff(context.Background(), ts.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 1 {
+		t.Fatalf("handoff report %+v, want 1 job", rep)
+	}
+	code, got := get(t, dst.Handler(), pollURL)
+	if code != http.StatusOK {
+		t.Fatalf("successor poll: %d %v", code, got)
+	}
+	delete(want, "age_seconds")
+	delete(got, "age_seconds")
+	wj, _ := json.Marshal(want)
+	gj, _ := json.Marshal(got)
+	if !bytes.Equal(wj, gj) {
+		t.Fatalf("successor poll differs:\n got: %s\nwant: %s", gj, wj)
+	}
+
+	bare, _ := newTestServer(t, Options{})
+	bts := httptest.NewServer(bare.Handler())
+	defer bts.Close()
+	rep, err = src.Handoff(context.Background(), bts.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 0 {
+		t.Fatalf("handoff to a successor without the ensemble imported %d jobs, want 0", rep.Jobs)
+	}
+	if code, _ := get(t, bare.Handler(), pollURL); code != http.StatusNotFound {
+		t.Fatalf("skipped job poll: status %d, want 404", code)
 	}
 }
 
