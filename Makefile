@@ -89,7 +89,8 @@ bench-smoke-all: bench-smoke bench-compress bench-serve bench-trace bench-placem
 
 # Short fuzz runs over every fuzz target: the hazard ensemble codecs
 # (JSON and CSV readers), the compressed-matrix wire codec, the upload
-# decoders, the job-envelope import and the traceparent parser. 30s per
+# decoders, the job-envelope import, the sweep shard-key derivation and
+# the traceparent parser. 30s per
 # target keeps the job a couple of minutes while still churning
 # through millions of hostile inputs; `go test -fuzz` accepts one
 # target per invocation, hence one line each.
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTopologyUpload' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzEnsembleParams' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzJobsImport' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzSweepShape' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceParent' -fuzztime 30s ./internal/obs/
 
 # Full benchmark sweep with allocation counts (slow: regenerates the

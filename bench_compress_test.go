@@ -1,11 +1,11 @@
 package compoundthreat
 
 // Compressed-path benchmarks: the deduplicated weighted sweeps that
-// are the default evaluation mode. Each has an uncompressed
-// counterpart above (BenchmarkFigure9Workers, BenchmarkFigureAllEngine,
-// BenchmarkPlacementSearch) pinned to NoCompress; the gap between the
-// pairs is the dedup win. BENCH_3.json records the measured numbers
-// and `make bench-check` gates these against it.
+// are the production evaluation path. The figure benchmarks have
+// uncompressed engine references in bench_test.go
+// (BenchmarkFigure9Workers, BenchmarkFigureAllEngine); the gap between
+// the pairs is the dedup win. BENCH_3.json records the measured
+// numbers and `make bench-check` gates these against it.
 
 import (
 	"testing"
@@ -41,8 +41,8 @@ func BenchmarkCompressedFigure9(b *testing.B) {
 // BenchmarkCompressedAllFigures evaluates all six paper figures through
 // the default EvaluateAllFigures path: one matrix over the union of
 // every figure's site assets, compressed once, then 30 weighted cells.
-// Compare against BenchmarkFigureAllEngine (uncompressed, per-site-set
-// matrices) for the combined universe-matrix + dedup speedup.
+// Compare against BenchmarkFigureAllEngine (the same universe matrix,
+// uncompressed) for the dedup speedup.
 func BenchmarkCompressedAllFigures(b *testing.B) {
 	cs := benchCaseStudy(b)
 	b.ReportAllocs()
@@ -57,8 +57,8 @@ func BenchmarkCompressedAllFigures(b *testing.B) {
 // BenchmarkCompressedSearchPairs runs the §VII pair search on the
 // default compressed path: the candidate-universe matrix is
 // deduplicated once and every one of the O(C²) pairs evaluates only
-// distinct patterns with pooled evaluator scratch. Compare against
-// BenchmarkPlacementSearch.
+// distinct patterns through the engine's entry point (the
+// word-parallel kernel for the symmetric "6+6+6" family).
 func BenchmarkCompressedSearchPairs(b *testing.B) {
 	cs := benchCaseStudy(b)
 	req := PlacementRequest{

@@ -16,10 +16,12 @@ import (
 
 	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/attack"
+	"compoundthreat/internal/engine"
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/opstate"
 	"compoundthreat/internal/scada"
+	"compoundthreat/internal/stats"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
@@ -135,27 +137,82 @@ func BenchmarkFigure9Sequential(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure9Workers evaluates Figure 9 on the engine path at
-// several worker bounds. Compare against BenchmarkFigure9Sequential
-// for the speedup; the gain is dominated by the bit-packed matrix and
-// per-flood-pattern memoization, so it holds even at workers=1.
-// Dedup is pinned off: this is the uncompressed engine reference that
-// BENCH_1.json gates; BenchmarkCompressedFigure9 measures the default
-// compressed path against BENCH_3.json.
+// BenchmarkFigure9Workers evaluates Figure 9 on the uncompressed
+// engine reference at several worker bounds: one failure matrix over
+// the five configurations' asset universe, then engine.CellCounts per
+// cell, walking every realization. Compare against
+// BenchmarkFigure9Sequential for the bit-packed matrix and
+// per-flood-pattern memoization speedup, which holds even at
+// workers=1. BENCH_1.json gates it; BenchmarkCompressedFigure9
+// measures the production compressed path against BENCH_3.json.
 func BenchmarkFigure9Workers(b *testing.B) {
 	cs, configs, scenario := benchFigureConfigs(b, 9)
+	cells := make([]benchCell, len(configs))
+	for i, cfg := range configs {
+		cells[i] = benchCell{cfg, scenario}
+	}
 	for _, workers := range []int{1, 4, 8} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := analysis.Options{Workers: workers, NoCompress: true}
-				if _, err := analysis.RunConfigsOpt(cs.Ensemble(), configs, scenario, opt); err != nil {
-					b.Fatal(err)
-				}
+				uncompressedCells(b, cs.Ensemble(), cells, workers)
 			}
 		})
 	}
+}
+
+// benchCell is one (configuration, scenario) cell of an uncompressed
+// reference sweep.
+type benchCell struct {
+	cfg      topology.Config
+	scenario threat.Scenario
+}
+
+// uncompressedCells is the uncompressed engine reference that
+// BENCH_1.json gates: compile one failure matrix over the cells' asset
+// universe, then evaluate each cell with engine.CellCounts (every
+// realization walked, no row deduplication) under engine.ForEach.
+func uncompressedCells(b *testing.B, e analysis.DisasterEnsemble, cells []benchCell, workers int) {
+	var universe []string
+	seen := map[string]bool{}
+	for _, c := range cells {
+		for _, s := range c.cfg.Sites {
+			if !seen[s.AssetID] {
+				seen[s.AssetID] = true
+				universe = append(universe, s.AssetID)
+			}
+		}
+	}
+	m, err := engine.NewFailureMatrix(e, universe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]*stats.Profile, len(cells))
+	err = engine.ForEach(workers, len(cells), func(i int) error {
+		counts, err := engine.CellCounts(m, cells[i].cfg, cells[i].scenario.Capability(), 1)
+		out[i] = counts.Profile()
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// allFigureCells flattens the six paper figures into their
+// (configuration, scenario) cells, as EvaluateAllFigures does.
+func allFigureCells(b *testing.B) []benchCell {
+	var cells []benchCell
+	for _, fig := range analysis.PaperFigures() {
+		configs, err := topology.StandardConfigs(fig.Placement)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range configs {
+			cells = append(cells, benchCell{cfg, fig.Scenario})
+		}
+	}
+	return cells
 }
 
 // BenchmarkFigureAllSequential evaluates all six paper figures on the
@@ -176,20 +233,16 @@ func BenchmarkFigureAllSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkFigureAllEngine evaluates all six paper figures through
-// EvaluateAllFigures: flattened (figure, config) cells with shared
-// failure matrices. Dedup is pinned off — this is the uncompressed
-// engine reference that BENCH_1.json gates; see
-// BenchmarkCompressedAllFigures for the default compressed path.
+// BenchmarkFigureAllEngine evaluates all six paper figures on the
+// uncompressed engine reference: the 30 flattened (figure,
+// configuration) cells against one matrix over their asset universe,
+// each walking every realization. BENCH_1.json gates it; see
+// BenchmarkCompressedAllFigures for the production compressed path.
 func BenchmarkFigureAllEngine(b *testing.B) {
 	cs := benchCaseStudy(b)
-	cs.SetCompress(false)
-	b.Cleanup(func() { cs.SetCompress(true) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.EvaluateAllFigures(); err != nil {
-			b.Fatal(err)
-		}
+		uncompressedCells(b, cs.Ensemble(), allFigureCells(b), 0)
 	}
 }
 
@@ -199,17 +252,11 @@ func BenchmarkFigureAllEngine(b *testing.B) {
 // BENCH_2.json records the measured gap (<5%).
 func BenchmarkFigureAllEngineMetrics(b *testing.B) {
 	cs := benchCaseStudy(b)
-	cs.SetCompress(false)
 	obs.Enable(obs.New())
-	b.Cleanup(func() {
-		obs.Enable(nil)
-		cs.SetCompress(true)
-	})
+	b.Cleanup(func() { obs.Enable(nil) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cs.EvaluateAllFigures(); err != nil {
-			b.Fatal(err)
-		}
+		uncompressedCells(b, cs.Ensemble(), allFigureCells(b), 0)
 	}
 }
 
@@ -382,27 +429,6 @@ func BenchmarkSCADASimulation(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(res.Delivered), "delivered")
 		})
-	}
-}
-
-// BenchmarkPlacementSearch measures the §VII placement search over all
-// candidate pairs, with dedup pinned off as the uncompressed engine
-// reference; BenchmarkCompressedSearchPairs measures the default
-// compressed search.
-func BenchmarkPlacementSearch(b *testing.B) {
-	cs := benchCaseStudy(b)
-	req := PlacementRequest{
-		Ensemble:   cs.Ensemble(),
-		Inventory:  OahuAssets(),
-		Primary:    HonoluluCC,
-		Scenario:   HurricaneIntrusionIsolation,
-		NoCompress: true,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SearchPlacements(req); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

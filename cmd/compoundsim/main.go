@@ -4,8 +4,7 @@
 // Usage:
 //
 //	compoundsim [-fig N] [-realizations N] [-seed S] [-csv] [-table1]
-//	            [-workers N] [-compress=false] [-metrics report.json]
-//	            [-pprof addr]
+//	            [-workers N] [-metrics report.json] [-pprof addr]
 //
 // Without -fig it evaluates every figure. -csv emits machine-readable
 // rows instead of terminal tables. -workers bounds analysis
@@ -59,7 +58,6 @@ func run(args []string) (err error) {
 	quake := fs.Bool("quake", false, "use the earthquake hazard (south-flank fault) instead of the hurricane")
 	fragilityBeta := fs.Float64("fragility", 0, "replace the 0.5 m threshold with a lognormal fragility curve of this dispersion (0 = off)")
 	workers := fs.Int("workers", 0, "analysis worker bound (0 = one per CPU)")
-	compress := fs.Bool("compress", true, "deduplicate identical failure-matrix rows before evaluation")
 	var ocli obs.CLI
 	ocli.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +75,7 @@ func run(args []string) (err error) {
 		}
 	}()
 	rec := ocli.Recorder()
-	opt := analysis.Options{Workers: *workers, NoCompress: !*compress}
+	opt := analysis.Options{Workers: *workers}
 
 	if *quake {
 		return runQuake(*realizations, *seed, opt)
@@ -105,7 +103,6 @@ func run(args []string) (err error) {
 		return err
 	}
 	cs.SetWorkers(*workers)
-	cs.SetCompress(*compress)
 
 	if *table1 {
 		if err := report.WriteTableI(os.Stdout); err != nil {
@@ -409,7 +406,6 @@ func runPowerSweep(e *hazard.Ensemble, configName string, csv bool, opt analysis
 		Successes:  []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1},
 		Seed:       1,
 		Workers:    opt.Workers,
-		NoCompress: opt.NoCompress,
 	})
 	if err != nil {
 		return err

@@ -8,8 +8,9 @@
 // aggregates outcome probabilities over the ensemble.
 //
 // Two execution paths produce bit-identical results. The default path
-// compiles the ensemble into a bit-packed failure matrix and evaluates
-// it with the allocation-free, parallel engine (internal/engine); the
+// compiles the ensemble into a bit-packed failure matrix, deduplicates
+// its rows, and evaluates every cell through the allocation-free,
+// parallel engine's entry point (engine.Cells); the
 // *Sequential functions are the straightforward reference
 // implementations that the engine is cross-checked against in tests.
 package analysis
@@ -46,18 +47,14 @@ type DisasterEnsemble interface {
 	FailureRate(assetID string) (float64, error)
 }
 
-// Options tunes how the analysis engine schedules work.
+// Options tunes how the analysis engine schedules work. Cells are
+// always evaluated over the row-deduplicated matrix through the
+// engine's entry point (engine.Cells); only parallelism is tunable.
 type Options struct {
 	// Workers bounds parallelism: 0 (the default) uses
 	// runtime.NumCPU(); 1 runs single-threaded (still on the
 	// allocation-free engine path).
 	Workers int
-	// NoCompress disables failure-matrix row deduplication. By default
-	// the compiled matrix is compressed to its distinct rows once and
-	// every (configuration, scenario) cell is evaluated per distinct
-	// pattern with multiplicities — bit-identical to the full walk.
-	// Set NoCompress to walk every realization per cell instead.
-	NoCompress bool
 }
 
 // Outcome is the result of analyzing one configuration under one
@@ -113,63 +110,27 @@ func RunOpt(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario, o
 	return runCell(v, cfg, scenario, opt.Workers)
 }
 
-// compiledView bundles a compiled failure matrix with its optional
-// deduplicated row view; cells evaluate against the compressed view
-// when present, recycling evaluators (and their 2^S memo tables)
-// across the sweep's cells through the pool.
-type compiledView struct {
-	m    *engine.FailureMatrix
-	cm   *engine.CompressedMatrix
-	pool *engine.EvaluatorPool
-}
-
 // compileView compiles the ensemble's failure flags for the given
-// assets and, unless disabled, compresses the rows to distinct
-// patterns once so every subsequent cell is O(distinct rows).
-func compileView(e DisasterEnsemble, assetIDs []string, opt Options) (compiledView, error) {
+// assets and compresses the rows to distinct patterns once, so every
+// subsequent cell is O(distinct rows) through the engine's evaluation
+// entry point.
+func compileView(e DisasterEnsemble, assetIDs []string, opt Options) (*engine.Cells, error) {
 	m, err := engine.NewFailureMatrix(e, assetIDs)
 	if err != nil {
-		return compiledView{}, err
+		return nil, err
 	}
-	v := compiledView{m: m}
-	if !opt.NoCompress {
-		v.cm = engine.Compress(m, opt.Workers)
-		v.pool = &engine.EvaluatorPool{}
-	}
-	return v, nil
+	return engine.NewCells(engine.Compress(m, opt.Workers)), nil
 }
 
 // runCell evaluates one (config, scenario) cell against a compiled
-// view.
-func runCell(v compiledView, cfg topology.Config, scenario threat.Scenario, workers int) (Outcome, error) {
+// view, splitting its distinct rows across up to workers goroutines.
+func runCell(v *engine.Cells, cfg topology.Config, scenario threat.Scenario, workers int) (Outcome, error) {
 	obs.Default().Counter("analysis.cells").Add(1)
-	var (
-		profile *stats.Profile
-		err     error
-	)
-	switch {
-	case v.cm != nil && engine.Workers(workers) <= 1:
-		// Single-worker compressed cell: one weighted pass over the
-		// distinct rows with a pooled evaluator, so sweeps spanning many
-		// cells reuse memo tables instead of re-allocating per cell.
-		var ev *engine.Evaluator
-		ev, err = v.pool.Get(v.m, cfg, scenario.Capability())
-		if err == nil {
-			var counts engine.Counts
-			if err = ev.AddWeighted(&counts, v.cm, 0, v.cm.DistinctRows()); err == nil {
-				profile = counts.Profile()
-			}
-			v.pool.Put(ev)
-		}
-	case v.cm != nil:
-		profile, err = engine.CellProfileCompressed(v.cm, cfg, scenario.Capability(), workers)
-	default:
-		profile, err = engine.CellProfile(v.m, cfg, scenario.Capability(), workers)
-	}
+	counts, err := v.Counts(cfg, scenario.Capability(), workers)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("analysis: %s: %w", cfg.Name, err)
 	}
-	return Outcome{Config: cfg, Scenario: scenario, Profile: profile}, nil
+	return Outcome{Config: cfg, Scenario: scenario, Profile: counts.Profile()}, nil
 }
 
 // RunSequential is the reference implementation of Run: a plain
@@ -218,20 +179,20 @@ func assetUniverse(configs []topology.Config) ([]string, error) {
 
 // compileUniverse compiles one failure matrix over the union of the
 // configurations' site assets (each configuration resolves its own
-// column subset at evaluation time), then optionally compresses it.
+// column subset at evaluation time), then compresses it.
 // One compile + one compression serve every (config, scenario) cell.
 // Compilation stays sequential (it touches the ensemble through its
 // interface); evaluation afterwards reads only the immutable view and
 // parallelizes freely.
-func compileUniverse(e DisasterEnsemble, configs []topology.Config, opt Options) (compiledView, error) {
+func compileUniverse(e DisasterEnsemble, configs []topology.Config, opt Options) (*engine.Cells, error) {
 	defer obs.Default().StartSpan("analysis.compile_matrices").End()
 	universe, err := assetUniverse(configs)
 	if err != nil {
-		return compiledView{}, err
+		return nil, err
 	}
 	v, err := compileView(e, universe, opt)
 	if err != nil {
-		return compiledView{}, fmt.Errorf("analysis: %w", err)
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	return v, nil
 }

@@ -136,34 +136,6 @@ func TestRunConfigsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunNoCompressMatchesCompressed: row dedup is a pure optimization
-// — disabling it must not change a single count, for every
-// configuration family and scenario.
-func TestRunNoCompressMatchesCompressed(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	configs := []topology.Config{
-		topology.NewConfig2("p"),
-		topology.NewConfig22("p", "s"),
-		topology.NewConfig6("p"),
-		topology.NewConfig66("p", "s"),
-		topology.NewConfig666("p", "s", "d"),
-	}
-	e := randomEnsemble(t, 17, 300, assets)
-	for _, cfg := range configs {
-		for _, sc := range threat.Scenarios() {
-			want, err := RunOpt(e, cfg, sc, Options{NoCompress: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := RunOpt(e, cfg, sc, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameProfile(t, cfg.Name+"/"+sc.String(), got, want)
-		}
-	}
-}
-
 func TestPowerSweepMatchesSequential(t *testing.T) {
 	assets := []string{"p", "s"}
 	for _, seed := range []int64{21, 22} {
@@ -181,29 +153,26 @@ func TestPowerSweepMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The grid includes both deterministic endpoints (0 and 1), so
-		// this also pins the compressed endpoint path (the default,
-		// noCompress=false) to the sequential reference.
-		for _, noCompress := range []bool{false, true} {
-			for _, workers := range crosscheckWorkerCounts() {
-				req := base
-				req.Workers = workers
-				req.NoCompress = noCompress
-				got, err := RunPowerSweep(req)
-				if err != nil {
-					t.Fatal(err)
+		// this also pins the compressed endpoint path to the sequential
+		// reference.
+		for _, workers := range crosscheckWorkerCounts() {
+			req := base
+			req.Workers = workers
+			got, err := RunPowerSweep(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Success != want[i].Success {
+					t.Errorf("workers=%d point %d: success %v != %v", workers, i, got[i].Success, want[i].Success)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Success != want[i].Success {
-						t.Errorf("workers=%d point %d: success %v != %v", workers, i, got[i].Success, want[i].Success)
-					}
-					for _, s := range opstate.States() {
-						if got[i].Profile.Count(s) != want[i].Profile.Count(s) {
-							t.Errorf("noCompress=%v workers=%d point %d: count(%v) = %d, want %d",
-								noCompress, workers, i, s, got[i].Profile.Count(s), want[i].Profile.Count(s))
-						}
+				for _, s := range opstate.States() {
+					if got[i].Profile.Count(s) != want[i].Profile.Count(s) {
+						t.Errorf("workers=%d point %d: count(%v) = %d, want %d",
+							workers, i, s, got[i].Profile.Count(s), want[i].Profile.Count(s))
 					}
 				}
 			}
@@ -241,15 +210,19 @@ func TestEvaluateAllFiguresMatchesPerFigure(t *testing.T) {
 			sameProfile(t, single.Outcomes[i].Config.Name, all[fi].Outcomes[i], single.Outcomes[i])
 		}
 	}
-	// Dedup off must reproduce the default bit-for-bit.
-	cs.SetCompress(false)
-	plain, err := cs.EvaluateAllFigures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi := range all {
-		for i := range all[fi].Outcomes {
-			sameProfile(t, "nocompress/"+all[fi].Outcomes[i].Config.Name, plain[fi].Outcomes[i], all[fi].Outcomes[i])
+	// The shared compressed sweep must reproduce the per-realization
+	// sequential reference bit-for-bit.
+	for fi, f := range figs {
+		configs, err := topology.StandardConfigs(f.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunConfigsSequential(cs.Ensemble(), configs, f.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			sameProfile(t, "sequential/"+want[i].Config.Name, all[fi].Outcomes[i], want[i])
 		}
 	}
 }

@@ -44,13 +44,6 @@ type PowerSweepRequest struct {
 	Seed int64
 	// Workers bounds parallelism across sweep points (0 = NumCPU).
 	Workers int
-	// NoCompress disables row deduplication for the deterministic
-	// sweep endpoints (success 0 and 1), where the attacker's outcome
-	// is a pure function of the flood pattern and the compressed
-	// weighted path is bit-identical to the per-realization walk.
-	// Interior points always walk realizations: their outcomes depend
-	// on the per-(point, realization) attack randomness.
-	NoCompress bool
 }
 
 func (r PowerSweepRequest) validate() error {
@@ -92,7 +85,10 @@ func pointSeed(base int64, point, realization int) int64 {
 // running sweep points in parallel against a failure matrix compiled
 // once. Results are bit-identical to RunPowerSweepSequential: the
 // attack randomness is seeded per (point, realization), independent of
-// scheduling.
+// scheduling. The deterministic endpoints (success 0 and 1) evaluate
+// each distinct flood pattern once; interior points walk every
+// realization, because their outcomes depend on the per-realization
+// randomness.
 func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -111,10 +107,7 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cm *engine.CompressedMatrix
-	if !req.NoCompress {
-		cm = engine.Compress(m, req.Workers)
-	}
+	cm := engine.Compress(m, req.Workers)
 	out := make([]PowerPoint, len(req.Successes))
 	err = engine.ForEach(req.Workers, len(req.Successes), func(pi int) error {
 		success := req.Successes[pi]
@@ -124,7 +117,7 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 			IsolationSuccess: success,
 		}
 		profile := stats.NewProfile()
-		if cm != nil && deterministicPower(power) {
+		if deterministicPower(power) {
 			// At the grid endpoints every planned attempt succeeds (or
 			// fails) regardless of the randomness draws, so the outcome
 			// is a pure function of the flood pattern: evaluate each

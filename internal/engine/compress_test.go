@@ -1,10 +1,13 @@
 package engine_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"compoundthreat/internal/engine"
 	"compoundthreat/internal/hazard"
+	"compoundthreat/internal/obs"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
@@ -130,40 +133,180 @@ func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCellCountsCompressedMatchesCellCounts is the weighted path's
-// central claim: for random ensembles, every configuration family, and
-// every scenario, evaluating distinct patterns with multiplicities is
-// bit-identical to walking all realizations — for any worker count on
-// either side.
-func TestCellCountsCompressedMatchesCellCounts(t *testing.T) {
-	assets := []string{"p", "s", "d"}
+// entryPointConfigs returns every configuration shape the entry point
+// must dispatch correctly over assets p, s, d, x: the paper's five
+// families, NewConfigKSite for k = 1…4, and an active configuration
+// with non-uniform replicas (asymmetric, so it takes the evaluator).
+func entryPointConfigs(t testing.TB) []topology.Config {
 	configs := standardConfigs(t, "p", "s", "d")
+	ids := []string{"p", "s", "d", "x"}
+	for k := 1; k <= len(ids); k++ {
+		configs = append(configs, topology.NewConfigKSite(ids[:k]))
+	}
+	return append(configs, topology.Config{
+		Name: "6+3+6",
+		Arch: topology.ActiveReplication,
+		Sites: []topology.Site{
+			{AssetID: "p", Role: topology.RolePrimary, Replicas: 6},
+			{AssetID: "s", Role: topology.RoleActive, Replicas: 3},
+			{AssetID: "d", Role: topology.RoleActive, Replicas: 6},
+		},
+		IntrusionsTolerated: 1,
+		RecoverySlots:       1,
+		MinActiveSites:      2,
+	})
+}
+
+// TestCellCountsCompressedMatchesCellCounts is the compressed path's
+// central claim: for random and all-distinct ensembles, every
+// configuration shape, and every scenario, the evaluation entry point
+// (engine.Cells, and CellCountsCompressed over it) is bit-identical to
+// walking all realizations with CellCounts — for any worker count, on
+// the arm SymmetricConfig selects, equal to the evaluator's weighted
+// pass, with one Cells value shared across every cell in sequence and
+// from concurrent goroutines, and allocation-free in steady state on
+// both arms.
+func TestCellCountsCompressedMatchesCellCounts(t *testing.T) {
+	rec := obs.New()
+	obs.Enable(rec)
+	defer obs.Enable(nil)
+	kernelPatterns := rec.Counter("engine.kernel_patterns")
+
+	assets := []string{"p", "s", "d", "x"}
+	configs := entryPointConfigs(t)
+	var ensembles []*hazard.Ensemble
 	for _, seed := range []int64{10, 11, 12} {
-		e := randomEnsemble(t, seed, 350, assets)
-		m, err := engine.NewFailureMatrix(e, assets)
+		ensembles = append(ensembles, randomEnsemble(t, seed, 350, assets))
+	}
+	ensembles = append(ensembles, allDistinctEnsemble(t, append(assets, "e", "f", "g", "h", "i", "j"), 300))
+
+	type cell struct {
+		cfg  topology.Config
+		sc   threat.Scenario
+		want engine.Counts
+	}
+	for ei, e := range ensembles {
+		m, err := engine.NewFailureMatrix(e, e.AssetIDs())
 		if err != nil {
 			t.Fatal(err)
 		}
 		cm := engine.Compress(m, 0)
+		cells := engine.NewCells(cm)
+		var all []cell
 		for _, cfg := range configs {
 			for _, sc := range threat.Scenarios() {
 				want, err := engine.CellCounts(m, cfg, sc.Capability(), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
+				all = append(all, cell{cfg, sc, want})
+				label := fmt.Sprintf("ensemble %d %s/%v", ei, cfg.Name, sc)
 				for _, workers := range []int{1, 2, 8, 0} {
 					got, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Errorf("seed=%d %s/%v workers=%d: compressed %v != reference %v",
-							seed, cfg.Name, sc, workers, got, want)
+						t.Errorf("%s workers=%d: compressed %v != reference %v", label, workers, got, want)
 					}
+				}
+
+				// The shared entry point, reused across every cell: the
+				// arm it takes is the one SymmetricConfig selects.
+				before := kernelPatterns.Value()
+				got, err := cells.Counts(cfg, sc.Capability(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s: shared entry point %v != reference %v", label, got, want)
+				}
+				if kernel := kernelPatterns.Value() > before; kernel != engine.SymmetricConfig(cfg) {
+					t.Errorf("%s: kernel arm taken = %v, want %v", label, kernel, engine.SymmetricConfig(cfg))
+				}
+
+				// Kernel and evaluator agree wherever both apply.
+				ev, err := engine.NewEvaluator(m, cfg, sc.Capability())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var evCounts engine.Counts
+				if err := ev.AddWeighted(&evCounts, cm, 0, cm.DistinctRows()); err != nil {
+					t.Fatal(err)
+				}
+				if got != evCounts {
+					t.Errorf("%s: entry point %v != evaluator %v", label, got, evCounts)
 				}
 			}
 		}
+
+		// A configuration of an already-tabled shape is still
+		// validated: an unnamed "6+6+6" fails as the evaluator does.
+		unnamed := configs[4]
+		unnamed.Name = ""
+		_, want := engine.CellCounts(m, unnamed, threat.Hurricane.Capability(), 1)
+		if _, err := cells.Counts(unnamed, threat.Hurricane.Capability(), 1); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("ensemble %d: unnamed %s: err = %v, want %v", ei, configs[4].Name, err, want)
+		}
+
+		// One value from several goroutines, each walking the cells in
+		// a different order (run under -race by make verify).
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range all {
+					c := all[(i*(g+1)+g)%len(all)]
+					got, err := cells.Counts(c.cfg, c.sc.Capability(), 1)
+					if err != nil || got != c.want {
+						t.Errorf("ensemble %d goroutine %d %s/%v: %v (err %v), want %v", ei, g, c.cfg.Name, c.sc, got, err, c.want)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+
+		// Steady state allocates nothing on either arm. The race
+		// detector makes sync.Pool drop items at random, so the exact
+		// count is checked only without it.
+		if raceEnabled {
+			continue
+		}
+		for _, cfg := range []topology.Config{configs[4], configs[3]} { // "6+6+6" (kernel), "6-6" (evaluator)
+			capability := threat.HurricaneIntrusionIsolation.Capability()
+			if allocs := testing.AllocsPerRun(100, func() {
+				if _, err := cells.Counts(cfg, capability, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("ensemble %d %s: Cells.Counts allocated %v times per run", ei, cfg.Name, allocs)
+			}
+		}
 	}
+}
+
+// allDistinctEnsemble is the adversarial worst case for compression:
+// row r's failure pattern is the binary encoding of r over the assets,
+// so every realization is distinct while rows < 2^len(assetIDs).
+func allDistinctEnsemble(t testing.TB, assetIDs []string, realizations int) *hazard.Ensemble {
+	t.Helper()
+	cfg := hazard.OahuScenario()
+	cfg.Realizations = realizations
+	rows := make([][]float64, realizations)
+	for r := range rows {
+		rows[r] = make([]float64, len(assetIDs))
+		for i := range rows[r] {
+			if r>>uint(i)&1 == 1 {
+				rows[r][i] = 1.0
+			}
+		}
+	}
+	e, err := hazard.NewEnsembleFromDepths(cfg, assetIDs, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestCompressAllDistinct is the adversarial worst case: an ensemble
@@ -176,23 +319,7 @@ func TestCompressAllDistinct(t *testing.T) {
 		assetIDs[i] = string(rune('a' + i))
 	}
 	const realizations = 300
-	cfg := hazard.OahuScenario()
-	cfg.Realizations = realizations
-	rows := make([][]float64, realizations)
-	for r := range rows {
-		rows[r] = make([]float64, len(assetIDs))
-		for i := range rows[r] {
-			// Row r's failure pattern is the binary encoding of r, so all
-			// rows are pairwise distinct.
-			if r>>uint(i)&1 == 1 {
-				rows[r][i] = 1.0
-			}
-		}
-	}
-	e, err := hazard.NewEnsembleFromDepths(cfg, assetIDs, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := allDistinctEnsemble(t, assetIDs, realizations)
 	m, err := engine.NewFailureMatrix(e, assetIDs)
 	if err != nil {
 		t.Fatal(err)
@@ -250,39 +377,5 @@ func TestAddWeightedRejectsForeignMatrix(t *testing.T) {
 	var counts engine.Counts
 	if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err == nil {
 		t.Fatal("AddWeighted accepted a compression of a different matrix")
-	}
-}
-
-// TestEvaluatorPoolReuse: a pooled evaluator reset to a new cell must
-// produce the same counts as a fresh one, for a sequence of differing
-// (config, capability) cells.
-func TestEvaluatorPoolReuse(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 41, 200, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := engine.Compress(m, 1)
-	var pool engine.EvaluatorPool
-	for _, cfg := range standardConfigs(t, "p", "s", "d") {
-		for _, sc := range threat.Scenarios() {
-			want, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, err := pool.Get(m, cfg, sc.Capability())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got engine.Counts
-			if err := ev.AddWeighted(&got, cm, 0, cm.DistinctRows()); err != nil {
-				t.Fatal(err)
-			}
-			pool.Put(ev)
-			if got != want {
-				t.Errorf("%s/%v: pooled counts %v != fresh %v", cfg.Name, sc, got, want)
-			}
-		}
 	}
 }

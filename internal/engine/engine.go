@@ -15,6 +15,12 @@
 //     with S sites has at most 2^S patterns, so a 1000-realization
 //     sweep collapses to a handful of attack evaluations plus pure
 //     bit-twiddling).
+//   - Cells is the evaluation entry point every caller uses: over a
+//     row-deduplicated CompressedMatrix it sends each cell to the
+//     word-parallel MaskKernel when the configuration is symmetric
+//     (SymmetricConfig) and to the memoized Evaluator otherwise.
+//     CellCounts and CellProfile over the uncompressed matrix remain
+//     as the reference the compressed path is tested against.
 //   - ForEach is the bounded worker pool used for realization chunks,
 //     (configuration, scenario) cells, placement candidates, and
 //     power-sweep points.

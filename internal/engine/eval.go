@@ -251,35 +251,11 @@ func (ev *Evaluator) AddWeighted(counts *Counts, cm *CompressedMatrix, lo, hi in
 // CellCountsCompressed is CellCounts over a compressed view: every
 // distinct pattern is evaluated exactly once and weighted by its
 // multiplicity, so the cell costs O(distinct rows) instead of
-// O(realizations). Results are bit-identical to CellCounts on the
-// source matrix.
+// O(realizations). It is Cells.Counts on a fresh entry point, so the
+// cell takes the same kernel-or-evaluator dispatch as every sweep.
+// Results are bit-identical to CellCounts on the source matrix.
 func CellCountsCompressed(cm *CompressedMatrix, cfg topology.Config, capability threat.Capability, workers int) (Counts, error) {
-	var total Counts
-	workers = Workers(workers)
-	if workers <= 1 || cm.DistinctRows() < 2*workers {
-		ev, err := NewEvaluator(cm.Source(), cfg, capability)
-		if err != nil {
-			return Counts{}, err
-		}
-		err = ev.AddWeighted(&total, cm, 0, cm.DistinctRows())
-		return total, err
-	}
-	parts := chunks(cm.DistinctRows(), workers)
-	results := make([]Counts, len(parts))
-	err := ForEach(workers, len(parts), func(i int) error {
-		ev, err := NewEvaluator(cm.Source(), cfg, capability)
-		if err != nil {
-			return err
-		}
-		return ev.AddWeighted(&results[i], cm, parts[i].lo, parts[i].hi)
-	})
-	if err != nil {
-		return Counts{}, err
-	}
-	for i := range results {
-		total.Add(&results[i])
-	}
-	return total, nil
+	return NewCells(cm).Counts(cfg, capability, workers)
 }
 
 // CellProfileCompressed is CellCountsCompressed rendered as a

@@ -82,9 +82,11 @@ func benchPairSetup(b *testing.B) ([]topology.Config, *engine.FailureMatrix, *en
 func BenchmarkPairsKernel(b *testing.B) {
 	configs, _, cm := benchPairSetup(b)
 	capability := threat.HurricaneIntrusionIsolation.Capability()
-	tbl := kernelTable(configs, capability, true)
-	if tbl == nil {
-		b.Fatal("kernel path not eligible for the standard pair search")
+	// Every candidate is the same symmetric "6+6+6" shape, so one
+	// table serves all twelve, as in the search itself.
+	tbl, err := engine.StateByCount(configs[0], capability)
+	if err != nil {
+		b.Fatal(err)
 	}
 	kernel := engine.NewMaskKernel()
 	b.ResetTimer()
@@ -100,7 +102,8 @@ func BenchmarkPairsKernel(b *testing.B) {
 }
 
 // BenchmarkPairsEvaluator is the same workload on the memoized
-// per-pattern evaluator — the pre-kernel fast path.
+// per-pattern evaluator — the path engine.Cells takes for asymmetric
+// configurations.
 func BenchmarkPairsEvaluator(b *testing.B) {
 	configs, m, cm := benchPairSetup(b)
 	capability := threat.HurricaneIntrusionIsolation.Capability()

@@ -58,37 +58,35 @@ func TestSearchPairsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSearchPairsKernelMatchesEvaluator pins the kernel fast path:
-// for the default symmetric "6+6+6" family, the word-parallel mask
-// kernel (default), the memoized evaluator (NoKernel), and the plain
-// sequential walk all produce byte-identical rankings, scores, and
-// profiles — the kernel is an optimization, never a semantic change.
-func TestSearchPairsKernelMatchesEvaluator(t *testing.T) {
+// TestSearchPairsRejectsInvalidConfig: every built configuration is
+// validated, not only the first. One placement's Build returns an
+// unnamed "6+6+6" — the same shape as its valid siblings, so one
+// shared outcome table would otherwise evaluate it — and the search
+// must fail exactly as the sequential reference does.
+func TestSearchPairsRejectsInvalidConfig(t *testing.T) {
 	e, inv := fixture(t)
-	for _, scenario := range threat.Scenarios() {
-		base := Request{
-			Ensemble:  e,
-			Inventory: inv,
-			Primary:   "p",
-			Scenario:  scenario,
+	req := Request{
+		Ensemble:  e,
+		Inventory: inv,
+		Primary:   "p",
+		Scenario:  threat.HurricaneIntrusionIsolation,
+		Build: func(p topology.Placement) topology.Config {
+			cfg := topology.NewConfig666(p.Primary, p.Second, p.DataCenter)
+			if p.Second == "corr" && p.DataCenter == "safe" {
+				cfg.Name = ""
+			}
+			return cfg
+		},
+	}
+	_, want := SearchPairsSequential(req)
+	if want == nil {
+		t.Fatal("sequential reference accepted an unnamed configuration")
+	}
+	for _, workers := range []int{1, 2} {
+		req.Workers = workers
+		if _, err := SearchPairs(req); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers=%d: SearchPairs error = %v, want %v", workers, err, want)
 		}
-		want, err := SearchPairsSequential(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kernel, err := SearchPairs(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		noKernel := base
-		noKernel.NoKernel = true
-		evaluator, err := SearchPairs(noKernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCandidates(t, scenario.String()+"/kernel-vs-sequential", kernel, want)
-		sameCandidates(t, scenario.String()+"/evaluator-vs-sequential", evaluator, want)
-		sameCandidates(t, scenario.String()+"/kernel-vs-evaluator", kernel, evaluator)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/assets"
@@ -67,22 +66,12 @@ type Request struct {
 	// Objective scores outcomes (nil = GreenProbability).
 	Objective Objective
 	// Build maps a placement to the configuration under study
-	// (nil = the "6+6+6" configuration).
+	// (nil = the "6+6+6" configuration). Every built configuration is
+	// validated before the search compiles anything.
 	Build func(topology.Placement) topology.Config
 	// Workers bounds parallelism across candidate placements
 	// (0 = runtime.NumCPU()).
 	Workers int
-	// NoCompress disables failure-matrix row deduplication. By default
-	// the candidate-universe matrix is compressed once and every
-	// candidate pair is evaluated per distinct flood pattern with
-	// multiplicities — bit-identical to walking every realization.
-	NoCompress bool
-	// NoKernel disables the word-parallel mask kernel, forcing the
-	// memoized per-pattern evaluator even when the configuration family
-	// is symmetric. The kernel is bit-identical where eligible
-	// (TestSearchPairsKernelMatchesEvaluator); the switch exists for
-	// crosschecks and benchmarks.
-	NoKernel bool
 }
 
 func (r *Request) setDefaults() {
@@ -218,22 +207,29 @@ func SearchSecondSite(req Request, dataCenter string) ([]Candidate, error) {
 	return search(req, secondSitePlacements(req, dataCenter))
 }
 
-// search evaluates the placements on the engine path: one matrix over
-// the union of every candidate configuration's site assets, then a
-// parallel sweep over placements.
+// search evaluates the placements on the engine path: one compressed
+// matrix over the union of every candidate configuration's site
+// assets, then a parallel sweep over placements through the engine's
+// evaluation entry point. For the default symmetric "6+6+6" family
+// every cell is word-parallel popcount arithmetic against one shared
+// outcome table.
 func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	if len(placements) == 0 {
 		return nil, errors.New("placement: no candidate placements")
 	}
 	defer obs.Default().StartSpan("placement.search").End()
 	obs.Default().Counter("placement.candidates").Add(int64(len(placements)))
-	// Build every configuration up front and collect the site-asset
-	// universe, so the ensemble is compiled exactly once.
+	// Build and validate every configuration up front and collect the
+	// site-asset universe, so the ensemble is compiled exactly once and
+	// an invalid configuration fails before any work.
 	configs := make([]topology.Config, len(placements))
 	var universe []string
 	seen := map[string]bool{}
 	for i, p := range placements {
 		configs[i] = req.Build(p)
+		if err := configs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("placement: %s/%s: %w", p.Second, p.DataCenter, err)
+		}
 		for _, s := range configs[i].Sites {
 			if !seen[s.AssetID] {
 				seen[s.AssetID] = true
@@ -245,52 +241,13 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	// Compress the candidate-universe matrix once; every one of the
-	// O(C²) pair candidates then evaluates only the distinct flood
-	// patterns. A shared evaluator pool recycles the 2^S memo tables
-	// and analyzer scratch across cells instead of re-allocating them
-	// per placement.
-	var cm *engine.CompressedMatrix
-	if !req.NoCompress {
-		cm = engine.Compress(m, req.Workers)
-	}
+	cells := engine.NewCells(engine.Compress(m, req.Workers))
 	capability := req.Scenario.Capability()
-	// Word-parallel fast path: when the whole candidate family is one
-	// symmetric configuration shape, a single StateByCount table covers
-	// every placement and each cell is popcount arithmetic over the
-	// distinct patterns — no per-placement revalidation, no memo tables.
-	// Bit-identical to the evaluator path (the family being symmetric is
-	// itself cross-checked exhaustively in the engine tests).
-	byCount := kernelTable(configs, capability, cm != nil && !req.NoKernel)
-	var kernels sync.Pool
-	var pool engine.EvaluatorPool
 	out := make([]Candidate, len(placements))
 	err = engine.ForEach(req.Workers, len(placements), func(i int) error {
-		var counts engine.Counts
-		if byCount != nil {
-			k, _ := kernels.Get().(*engine.MaskKernel)
-			if k == nil {
-				k = engine.NewMaskKernel()
-			}
-			if err := k.BindConfig(cm, byCount, configs[i]); err != nil {
-				return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
-			}
-			k.AddWeighted(&counts, 0, cm.DistinctRows())
-			kernels.Put(k)
-		} else {
-			ev, err := pool.Get(m, configs[i], capability)
-			if err != nil {
-				return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
-			}
-			if cm != nil {
-				err = ev.AddWeighted(&counts, cm, 0, cm.DistinctRows())
-			} else {
-				err = ev.AddRange(&counts, 0, m.Rows())
-			}
-			pool.Put(ev)
-			if err != nil {
-				return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
-			}
+		counts, err := cells.Counts(configs[i], capability, 1)
+		if err != nil {
+			return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
 		}
 		outcome := analysis.Outcome{Config: configs[i], Scenario: req.Scenario, Profile: counts.Profile()}
 		out[i] = Candidate{Placement: placements[i], Score: req.Objective(outcome), Outcome: outcome}
@@ -301,44 +258,6 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	}
 	Rank(out)
 	return out, nil
-}
-
-// kernelTable returns the shared StateByCount table when every
-// configuration is the same symmetric shape (architecture, site count,
-// replica layout, fault model) — the condition under which one
-// flooded-count table is valid for all of them — and nil when any
-// configuration needs the general evaluator.
-func kernelTable(configs []topology.Config, capability threat.Capability, enabled bool) []opstate.State {
-	if !enabled || len(configs) == 0 || !engine.SymmetricConfig(configs[0]) {
-		return nil
-	}
-	for _, c := range configs[1:] {
-		if !sameShape(configs[0], c) {
-			return nil
-		}
-	}
-	tbl, err := engine.StateByCount(configs[0], capability)
-	if err != nil {
-		return nil
-	}
-	return tbl
-}
-
-// sameShape reports whether two configurations differ only in which
-// assets host their sites.
-func sameShape(a, b topology.Config) bool {
-	if a.Arch != b.Arch || len(a.Sites) != len(b.Sites) ||
-		a.IntrusionsTolerated != b.IntrusionsTolerated ||
-		a.RecoverySlots != b.RecoverySlots ||
-		a.MinActiveSites != b.MinActiveSites {
-		return false
-	}
-	for i := range a.Sites {
-		if a.Sites[i].Replicas != b.Sites[i].Replicas {
-			return false
-		}
-	}
-	return true
 }
 
 // SearchPairsSequential is the reference implementation of

@@ -240,47 +240,6 @@ func TestRankNaNSortsLast(t *testing.T) {
 	}
 }
 
-// TestSearchNoCompressMatchesCompressed: the compressed default and the
-// -compress=false escape hatch are the same search — identical ranking,
-// scores, and profiles for every scenario.
-func TestSearchNoCompressMatchesCompressed(t *testing.T) {
-	e, inv := fixture(t)
-	for _, scenario := range threat.Scenarios() {
-		base := Request{
-			Ensemble:  e,
-			Inventory: inv,
-			Primary:   "p",
-			Scenario:  scenario,
-		}
-		compressed, err := SearchPairs(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := base
-		plain.NoCompress = true
-		uncompressed, err := SearchPairs(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(compressed) != len(uncompressed) {
-			t.Fatalf("%v: %d vs %d candidates", scenario, len(compressed), len(uncompressed))
-		}
-		for i := range compressed {
-			c, u := compressed[i], uncompressed[i]
-			if c.Placement != u.Placement || c.Score != u.Score {
-				t.Errorf("%v rank %d: compressed (%+v, %v) != uncompressed (%+v, %v)",
-					scenario, i, c.Placement, c.Score, u.Placement, u.Score)
-			}
-			for _, s := range opstate.States() {
-				if c.Outcome.Profile.Count(s) != u.Outcome.Profile.Count(s) {
-					t.Errorf("%v rank %d: count(%v) = %d, want %d", scenario, i, s,
-						c.Outcome.Profile.Count(s), u.Outcome.Profile.Count(s))
-				}
-			}
-		}
-	}
-}
-
 func TestObjectives(t *testing.T) {
 	p := stats.NewProfile()
 	p.AddN(opstate.Green, 6)

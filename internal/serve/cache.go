@@ -12,15 +12,14 @@ import (
 	"compoundthreat/internal/topology"
 )
 
-// view is one compiled (ensemble, asset universe) pair: the bit-packed
-// failure matrix, its deduplicated row view, and an evaluator pool
-// recycling 2^S memo tables across the queries that hit this view.
-// Views are immutable after compilation (the pool is internally
-// synchronized), so any number of request goroutines share one view.
+// view is one compiled (ensemble, asset universe) pair: the
+// deduplicated failure matrix behind the engine's evaluation entry
+// point, which recycles kernels and evaluators across the queries that
+// hit this view. Views are immutable after compilation (the entry
+// point is internally synchronized), so any number of request
+// goroutines share one view.
 type view struct {
-	matrix *engine.FailureMatrix
-	cm     *engine.CompressedMatrix
-	pool   engine.EvaluatorPool
+	cells *engine.Cells
 }
 
 // newView compiles the ensemble's failure flags for the asset universe
@@ -40,20 +39,14 @@ func newView(ctx context.Context, e Ensemble, universe []string, workers int) (*
 	dsp := sp.StartChild("compile.dedup")
 	cm := engine.Compress(m, workers)
 	dsp.End()
-	return &view{matrix: m, cm: cm}, nil
+	return &view{cells: engine.NewCells(cm)}, nil
 }
 
 // cell evaluates one (configuration, capability) cell against the
-// view's distinct flood patterns — the serving hot path. One pooled
-// evaluator, one weighted pass, no per-realization work.
+// view's distinct flood patterns — the serving hot path: one pass over
+// the distinct rows, no per-realization work.
 func (v *view) cell(cfg topology.Config, capability threat.Capability) (*stats.Profile, error) {
-	ev, err := v.pool.Get(v.matrix, cfg, capability)
-	if err != nil {
-		return nil, err
-	}
-	var counts engine.Counts
-	err = ev.AddWeighted(&counts, v.cm, 0, v.cm.DistinctRows())
-	v.pool.Put(ev)
+	counts, err := v.cells.Counts(cfg, capability, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"compoundthreat/internal/analysis"
+	"compoundthreat/internal/assets"
 	"compoundthreat/internal/placement"
 	"compoundthreat/internal/stats"
 	"compoundthreat/internal/threat"
@@ -154,4 +158,70 @@ func exportJobsBody(t *testing.T, s *Server) []byte {
 		t.Fatalf("export: %d %s", w.Code, w.Body.String())
 	}
 	return w.Body.Bytes()
+}
+
+// FuzzSweepShape checks the shard-key derivation of /v1/sweep, which
+// the router and the workers share: no panics; the GET form (query
+// parameters) and the POST form (JSON body) of one request agree on
+// acceptance and on the whole QueryShape; and whenever the server
+// accepts the request, the shape's Identity is the universe half of
+// the key viewFor caches the compiled view under — so two equivalent
+// queries can never split one view across workers. configs is a
+// comma-separated list of config names ("" = none given).
+func FuzzSweepShape(f *testing.F) {
+	f.Add("", "", "", "", "", "")
+	f.Add("oahu", "both", "6+6+6,2", assets.HonoluluCC, assets.Kahe, assets.DRFortress)
+	f.Add("", "isolation", "2-2,6-6", "", assets.Kahe, "")
+	f.Add("oahu", "volcano", "", "", "", "")
+	f.Add("", "", "6,6", "", "", "")
+	f.Add("", "", ",", "", "", "")
+	f.Add("other", "hurricane", "4", assets.Waiau, assets.Waiau, "nowhere")
+	s, _ := newTestServer(f, Options{})
+	f.Fuzz(func(t *testing.T, ensemble, scenario, configs, primary, second, dataCenter string) {
+		for _, v := range []string{ensemble, scenario, configs, primary, second, dataCenter} {
+			if !utf8.ValidString(v) {
+				return // JSON cannot carry these bytes unchanged
+			}
+		}
+		req := sweepRequest{Ensemble: ensemble, Scenario: scenario, Primary: primary, Second: second, DataCenter: dataCenter}
+		if configs != "" {
+			req.Configs = strings.Split(configs, ",")
+		}
+		form := url.Values{}
+		for key, v := range map[string]string{"ensemble": ensemble, "scenario": scenario, "primary": primary, "second": second, "data_center": dataCenter} {
+			if v != "" {
+				form.Set(key, v)
+			}
+		}
+		for _, name := range req.Configs {
+			form.Add("config", name)
+		}
+		q, err := url.ParseQuery(form.Encode())
+		if err != nil {
+			t.Fatalf("encoded query does not parse: %v", err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		getShape, getErr := SweepShape(q, nil)
+		postShape, postErr := SweepShape(nil, body)
+		if (getErr == nil) != (postErr == nil) {
+			t.Fatalf("GET and POST disagree on acceptance: %v vs %v (body %s)", getErr, postErr, body)
+		}
+		if !reflect.DeepEqual(getShape, postShape) {
+			t.Fatalf("GET shape %+v != POST shape %+v", getShape, postShape)
+		}
+		_, _, _, _, universe, serveErr := s.validateSweep(req)
+		if serveErr != nil {
+			return
+		}
+		if getErr != nil {
+			t.Fatalf("server accepts a sweep the shape rejects: %v (body %s)", getErr, body)
+		}
+		if want := universeIdentity(universe); getShape.Identity != want {
+			t.Fatalf("shape identity %q, server view universe %q", getShape.Identity, want)
+		}
+	})
 }

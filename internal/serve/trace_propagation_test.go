@@ -179,6 +179,10 @@ func TestPropagationDisabledZeroAlloc(t *testing.T) {
 	}
 	without := serve(false)
 	with := serve(true)
+	if raceEnabled {
+		t.Logf("race detector on: sync.Pool drops items at random, exact comparison skipped (%v with, %v without)", with, without)
+		return
+	}
 	// The only admissible delta is the harness installing the header
 	// (one map-bucket allocation); the propagation path itself must be
 	// free when tracing is off.

@@ -71,12 +71,13 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
 	}
 	views := make([]viewJSON, 0, len(snap))
 	for _, kv := range snap {
+		cm := kv.view.cells.Matrix()
 		vj := viewJSON{
 			Key:              kv.key,
-			Assets:           len(kv.view.matrix.Assets()),
-			Rows:             kv.view.cm.Rows(),
-			DistinctPatterns: kv.view.cm.DistinctRows(),
-			WireBytes:        kv.view.cm.EncodedSizeEstimate(),
+			Assets:           len(cm.Source().Assets()),
+			Rows:             cm.Rows(),
+			DistinctPatterns: cm.DistinctRows(),
+			WireBytes:        cm.EncodedSizeEstimate(),
 		}
 		if ens, _, err := s.resolveViewKey(kv.key); err == nil {
 			vj.Ensemble = ens.name
@@ -109,7 +110,7 @@ func (s *Server) handleViewExport(w http.ResponseWriter, r *http.Request) error 
 	s.viewsExported.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(CodecVersionHeader, strconv.Itoa(engine.CompressedMatrixCodecVersion))
-	return engine.EncodeCompressedMatrix(w, v.cm)
+	return engine.EncodeCompressedMatrix(w, v.cells.Matrix())
 }
 
 // ---- POST /v1/views/import ----
@@ -158,7 +159,7 @@ func (s *Server) handleViewImport(w http.ResponseWriter, r *http.Request) error 
 	if cm.Rows() != ens.e.Size() {
 		return badRequestf("view has %d realizations, ensemble %q has %d", cm.Rows(), ens.name, ens.e.Size())
 	}
-	imported := s.cache.put(key, &view{matrix: cm.Source(), cm: cm})
+	imported := s.cache.put(key, &view{cells: engine.NewCells(cm)})
 	if imported {
 		s.viewsImported.Inc()
 	}
@@ -233,7 +234,7 @@ func (s *Server) Handoff(ctx context.Context, baseURL string, maxViews int) (Han
 	defer sp.End()
 	for _, kv := range snap {
 		var buf strings.Builder
-		if err := engine.EncodeCompressedMatrix(&buf, kv.view.cm); err != nil {
+		if err := engine.EncodeCompressedMatrix(&buf, kv.view.cells.Matrix()); err != nil {
 			return rep, fmt.Errorf("serve: encode view %q: %w", kv.key, err)
 		}
 		u := base + "/v1/views/import?key=" + url.QueryEscape(kv.key)

@@ -111,15 +111,15 @@ func (c Config) Validate() error {
 	if c.IntrusionsTolerated < 0 || c.RecoverySlots < 0 {
 		return fmt.Errorf("topology: %s: negative fault-model parameters", c.Name)
 	}
-	seen := make(map[string]bool, len(c.Sites))
 	for i, s := range c.Sites {
 		if s.AssetID == "" {
 			return fmt.Errorf("topology: %s: site %d needs an asset ID", c.Name, i)
 		}
-		if seen[s.AssetID] {
+		// A linear scan: configurations have a handful of sites, and
+		// the engine validates one per evaluated cell.
+		if c.SiteIndex(s.AssetID) < i {
 			return fmt.Errorf("topology: %s: duplicate site asset %q", c.Name, s.AssetID)
 		}
-		seen[s.AssetID] = true
 		if s.Replicas <= 0 {
 			return fmt.Errorf("topology: %s: site %q needs at least one replica", c.Name, s.AssetID)
 		}
